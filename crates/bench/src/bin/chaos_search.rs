@@ -1,11 +1,10 @@
-//! Unified chaos driver: the hand-written fault matrices, the
-//! randomized fault-schedule search, and deterministic corpus replay —
-//! one binary, three subcommands.
+//! Unified chaos driver: the curated fault matrix, the randomized
+//! fault-schedule search, and deterministic corpus replay — one binary,
+//! three subcommands.
 //!
-//! * `matrix` — the curated (schedule, seed) grids that used to live in
-//!   the separate `chaos` and `cluster_chaos` binaries. Storage and
-//!   cluster schedule names share one `--schedule` flag; every old name
-//!   still works.
+//! * `matrix` — the curated (preset, seed) grid: every named preset
+//!   schedule (storage, queue, and cluster) run through its arena with
+//!   its required witnesses checked. `--schedule` narrows to one preset.
 //! * `search` — bounded randomized search: generate a fault schedule
 //!   from a seed, run it through the invariant oracle, and on failure
 //!   shrink it to a 1-minimal repro file ready to commit to
@@ -26,9 +25,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pnp_serve::chaos::{run_schedule, Schedule};
-use pnp_serve::chaosgen::{replay, replay_repro, search, Arena, BugPlant, FaultSchedule, Profile};
-use pnp_serve::netchaos::{run_net_schedule, NetSchedule};
+use pnp_serve::chaosgen::{
+    matrix_repro, preset, replay, replay_repro, run_generated, search, Arena, BugPlant,
+    FaultSchedule, Profile, PRESETS,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,33 +43,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// Either kind of curated matrix schedule, behind one `--schedule` flag.
-#[derive(Clone, Copy)]
-enum MatrixSchedule {
-    Storage(Schedule),
-    Cluster(NetSchedule),
-}
-
-impl MatrixSchedule {
-    fn parse(name: &str) -> Result<MatrixSchedule, String> {
-        if let Ok(schedule) = Schedule::parse(name) {
-            return Ok(MatrixSchedule::Storage(schedule));
-        }
-        if let Ok(schedule) = NetSchedule::parse(name) {
-            return Ok(MatrixSchedule::Cluster(schedule));
-        }
-        Err(format!(
-            "unknown chaos schedule '{name}' (want one of: {}, {})",
-            Schedule::ALL.map(|s| s.as_str()).join(", "),
-            NetSchedule::ALL.map(|s| s.as_str()).join(", ")
-        ))
-    }
-}
-
 fn cmd_matrix(args: &[String]) -> ExitCode {
     let mut seeds: u64 = 8;
     let mut single_seed: Option<u64> = None;
-    let mut only: Option<MatrixSchedule> = None;
+    let mut only: Option<&str> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -88,10 +65,10 @@ fn cmd_matrix(args: &[String]) -> ExitCode {
                 }
             }
             "--schedule" => {
-                let value = iter.next().cloned().unwrap_or_default();
-                match MatrixSchedule::parse(&value) {
-                    Ok(schedule) => only = Some(schedule),
-                    Err(error) => return usage(&error),
+                let value = iter.next().map(String::as_str).unwrap_or_default();
+                match PRESETS.iter().find(|name| **name == value) {
+                    Some(name) => only = Some(name),
+                    None => return usage(&preset(value, 0).unwrap_err()),
                 }
             }
             "--help" | "-h" => return usage(""),
@@ -102,100 +79,43 @@ fn cmd_matrix(args: &[String]) -> ExitCode {
         Some(seed) => vec![seed],
         None => (0..seeds).collect(),
     };
-    let (storage, cluster): (Vec<Schedule>, Vec<NetSchedule>) = match only {
-        Some(MatrixSchedule::Storage(schedule)) => (vec![schedule], Vec::new()),
-        Some(MatrixSchedule::Cluster(schedule)) => (Vec::new(), vec![schedule]),
-        None => (Schedule::ALL.to_vec(), NetSchedule::ALL.to_vec()),
+    let names: Vec<&str> = match only {
+        Some(name) => vec![name],
+        None => PRESETS.to_vec(),
     };
 
+    println!(
+        "== chaos matrix: {} seed(s) x {} preset(s) ==",
+        seed_range.len(),
+        names.len()
+    );
+    println!(
+        "{:<24} {:>5} {:<15} {:>8} {:>7} {:>6}  evidence; detail",
+        "preset", "seed", "arena", "att/step", "reboots", "faults"
+    );
     let mut failures = 0u64;
-    if !storage.is_empty() {
-        println!(
-            "== storage chaos matrix: {} seed(s) x {} schedules ==",
-            seed_range.len(),
-            storage.len()
-        );
-        println!(
-            "{:<20} {:>5} {:>8} {:>9} {:>10}  detail",
-            "schedule", "seed", "reboots", "attempts", "identical"
-        );
-        for &schedule in &storage {
-            for &seed in &seed_range {
-                match run_schedule(schedule, seed) {
-                    Ok(outcome) => {
-                        println!(
-                            "{:<20} {:>5} {:>8} {:>9} {:>10}  {}",
-                            schedule.as_str(),
-                            seed,
-                            outcome.reboots,
-                            outcome.attempts,
-                            if outcome.identical { "yes" } else { "NO" },
-                            outcome.detail,
-                        );
-                        if !outcome.identical {
-                            failures += 1;
-                        }
-                    }
-                    Err(error) => {
-                        println!(
-                            "{:<20} {:>5} {:>8} {:>9} {:>10}  {error}",
-                            schedule.as_str(),
-                            seed,
-                            "-",
-                            "-",
-                            "ERROR",
-                        );
-                        failures += 1;
-                    }
-                }
-            }
-        }
-    }
-    if !cluster.is_empty() {
-        println!(
-            "== cluster chaos matrix: {} seed(s) x {} schedules ==",
-            seed_range.len(),
-            cluster.len()
-        );
-        println!(
-            "{:<24} {:>5} {:>5} {:>6} {:>11} {:>7} {:>9} {:>9} {:>7} {:>6} {:>6} {:>6}",
-            "schedule",
-            "seed",
-            "jobs",
-            "steps",
-            "migrations",
-            "fenced",
-            "discards",
-            "snapshots",
-            "hedges",
-            "sheds",
-            "expire",
-            "trips"
-        );
-        for &schedule in &cluster {
-            for &seed in &seed_range {
-                match run_net_schedule(schedule, seed) {
-                    Ok(outcome) => {
-                        println!(
-                            "{:<24} {:>5} {:>5} {:>6} {:>11} {:>7} {:>9} {:>9} {:>7} {:>6} {:>6} {:>6}",
-                            schedule.as_str(),
-                            seed,
-                            outcome.jobs,
-                            outcome.steps,
-                            outcome.migrations,
-                            outcome.fenced,
-                            outcome.worker_discards,
-                            outcome.snapshots_shipped,
-                            outcome.hedges,
-                            outcome.sheds,
-                            outcome.expired,
-                            outcome.breaker_trips,
-                        );
-                    }
-                    Err(error) => {
-                        println!("{:<24} {:>5} FAILED: {error}", schedule.as_str(), seed);
-                        failures += 1;
-                    }
+    for &name in &names {
+        for &seed in &seed_range {
+            let schedule = preset(name, seed).expect("a listed preset");
+            match run_generated(&schedule) {
+                Ok(outcome) => println!(
+                    "{:<24} {:>5} {:<15} {:>8} {:>7} {:>6}  {}; {}",
+                    name,
+                    seed,
+                    schedule.arena.as_str(),
+                    outcome.attempts,
+                    outcome.reboots,
+                    outcome.fired.len(),
+                    outcome.evidence,
+                    outcome.detail,
+                ),
+                Err(failure) => {
+                    println!(
+                        "{name:<24} {seed:>5} {:<15} FAILED: {failure}\n  repro: {}",
+                        schedule.arena.as_str(),
+                        matrix_repro(name, seed)
+                    );
+                    failures += 1;
                 }
             }
         }
@@ -410,9 +330,9 @@ fn usage(error: &str) -> ExitCode {
          \n\
          subcommands:\n\
          \x20 matrix  [--seeds N] [--seed N] [--schedule NAME]\n\
-         \x20         curated fault matrices (storage + cluster); NAME accepts every\n\
-         \x20         schedule of the old chaos and cluster_chaos binaries\n\
-         \x20 search  [--arena storage|storage-spill|queue|cluster] [--seed N]\n\
+         \x20         the curated preset matrix; NAME is one preset (default: all)\n\
+         \x20 search  [--arena storage|storage-spill|queue|cluster|cluster-hedge|\n\
+         \x20         cluster-burst|cluster-breaker] [--seed N]\n\
          \x20         [--profile light|medium|heavy] [--iterations N]\n\
          \x20         [--plant none|unsynced-queue-commit] [--out DIR]\n\
          \x20         bounded randomized fault-schedule search with shrinking\n\

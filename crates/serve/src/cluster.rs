@@ -1029,15 +1029,7 @@ impl Coordinator {
     /// the hedge runs under `top_epoch + 1` on a different worker.
     fn select_hedges(&self, inner: &mut CoInner, now_ms: u64) -> Vec<Outbound> {
         let threshold = self.hedge_threshold(inner);
-        let mut inflight: HashMap<String, usize> = HashMap::new();
-        for job in inner.jobs.values() {
-            if let GlobalPhase::Dispatched { worker, .. } = &job.phase {
-                *inflight.entry(worker.clone()).or_insert(0) += 1;
-            }
-            if let Some(hedge) = &job.hedge {
-                *inflight.entry(hedge.worker.clone()).or_insert(0) += 1;
-            }
-        }
+        let mut inflight = inflight(inner);
         let candidates: Vec<(u64, String)> = inner
             .jobs
             .values()
@@ -1131,15 +1123,7 @@ impl Coordinator {
     /// the checkpoint holder wins unless it is loaded well past the
     /// least-loaded alternative.
     fn select_dispatches(&self, inner: &mut CoInner, now_ms: u64) -> Vec<Outbound> {
-        let mut inflight: HashMap<String, usize> = HashMap::new();
-        for job in inner.jobs.values() {
-            if let GlobalPhase::Dispatched { worker, .. } = &job.phase {
-                *inflight.entry(worker.clone()).or_insert(0) += 1;
-            }
-            if let Some(hedge) = &job.hedge {
-                *inflight.entry(hedge.worker.clone()).or_insert(0) += 1;
-            }
-        }
+        let mut inflight = inflight(inner);
         let mut tenants: Vec<String> = inner
             .jobs
             .values()
@@ -1369,6 +1353,22 @@ impl Coordinator {
             );
         }
     }
+}
+
+/// Attempts in flight per worker: every dispatched job's primary and
+/// its hedge. A terminal job's hedge record is kept for the epoch fence
+/// but no longer holds a slot.
+fn inflight(inner: &CoInner) -> HashMap<String, usize> {
+    let mut inflight = HashMap::new();
+    for job in inner.jobs.values() {
+        if let GlobalPhase::Dispatched { worker, .. } = &job.phase {
+            *inflight.entry(worker.clone()).or_insert(0) += 1;
+            if let Some(hedge) = &job.hedge {
+                *inflight.entry(hedge.worker.clone()).or_insert(0) += 1;
+            }
+        }
+    }
+    inflight
 }
 
 fn encode_cluster_queue(next_id: u64, jobs: &[&GlobalJob]) -> Vec<u8> {

@@ -27,7 +27,6 @@
 //! `max_attempts`, and `chaos` (fault injection for the soak tests).
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod chaosgen;
 pub mod cluster;
 pub mod http;

@@ -1,22 +1,19 @@
-//! Deterministic network-chaos harness for cluster mode: the network
-//! analogue of [`crate::chaos`] (which attacks storage).
+//! The simulated cluster the chaos arenas ([`crate::chaosgen`]) are
+//! built from: [`SimWorker`], a worker daemon on a seeded
+//! [`pnp_net::SimNet`] with a durable [`SimFs`], plus the coordinator
+//! configurations and constructor the arenas share.
 //!
-//! A real [`crate::cluster::Coordinator`] runs against simulated
-//! workers over a seeded [`pnp_net::SimNet`], entirely single-threaded
-//! on virtual time: each virtual step ticks the coordinator, then lets
-//! every worker pump its pending work. Faults — worker crashes,
-//! asymmetric partitions, a full coordinator restart with queue
-//! restore — fire at fixed virtual times per schedule, while the
-//! seeded transport plan sprinkles drops, duplicated deliveries, and
-//! resets underneath. The same seed replays the same run bit for bit.
-//!
-//! Every schedule checks the cluster's two load-bearing promises:
+//! A real [`crate::cluster::Coordinator`] runs against these workers
+//! entirely single-threaded on virtual time: each virtual step ticks
+//! the coordinator, then lets every worker pump its pending work. The
+//! same seed replays the same run bit for bit, which is what lets a
+//! fault schedule check the cluster's two load-bearing promises:
 //!
 //! 1. **Exactly once**: every submitted job reaches a terminal verdict
 //!    recorded exactly once; late results from superseded attempt
 //!    epochs are fenced (`409`) and provably discarded.
 //! 2. **Byte-identical results**: the adopted completion's
-//!    [`crate::chaos::results_fingerprint`] equals an uninterrupted
+//!    [`crate::chaosgen::results_fingerprint`] equals an uninterrupted
 //!    single-node run of the same specification, crashes, partitions,
 //!    and migrations notwithstanding.
 
@@ -26,14 +23,14 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pnp_kernel::{load_latest_snapshot, SearchConfig, SimFs, Snapshot, Vfs, VfsHandle};
-use pnp_lang::{compile, VerifyOptions};
-use pnp_net::{ClientError, NetPlan, SimNet, SubmitClient, Transport, WireRequest, WireResponse};
+use pnp_lang::{compile, PropertyResult, VerifyOptions};
+use pnp_net::{SimNet, Transport, WireRequest, WireResponse};
 
-use crate::chaos::{results_fingerprint, CHAOS_SPEC};
+use crate::chaosgen::results_fingerprint;
 use crate::cluster::{ClusterConfig, Coordinator};
 use crate::job::Verdict;
 use crate::json::Obj;
-use crate::membership::{BreakerConfig, DetectorConfig};
+use crate::membership::DetectorConfig;
 use crate::transport::{decode_dispatch, encode_completion, Completion, Dispatch};
 
 /// A second, smaller specification so the matrix mixes job shapes.
@@ -65,119 +62,6 @@ pub(crate) const STEP_MS: u64 = 100;
 /// `run_pending` calls a job occupies before its full verification runs
 /// — the window in which crashes and partitions catch it "mid-job".
 const WORK_TICKS: u32 = 4;
-/// Harness step ceiling (`MAX_STEPS * STEP_MS` virtual ms) before a
-/// schedule is declared non-convergent.
-const MAX_STEPS: u64 = 600;
-
-/// The fault schedules of the cluster chaos matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetSchedule {
-    /// A worker crashes (memory wiped, checkpoints durable) with jobs
-    /// mid-run, then restarts; its jobs must migrate or resume without
-    /// double-completion.
-    WorkerCrashMidJob,
-    /// The uplink from a worker to the coordinator is cut exactly while
-    /// results upload; the job migrates behind a bumped epoch and the
-    /// healed worker's late upload must be fenced.
-    PartitionDuringResult,
-    /// The coordinator drains (persisting its queue) and restarts
-    /// mid-flight; restored jobs re-dispatch behind bumped epochs and
-    /// pre-restart results are fenced.
-    CoordinatorRestart,
-    /// One worker grinds an order of magnitude slower than the other:
-    /// its dispatches stall past the hedge threshold, the coordinator
-    /// speculatively re-runs them elsewhere, and the straggler's late
-    /// results are fenced when they finally arrive.
-    Straggler,
-    /// Submissions burst past the coordinator's admission capacity:
-    /// excess jobs shed with `Retry-After` hints the client honors, and
-    /// a tight end-to-end deadline expires mid-burst as an honest
-    /// `Inconclusive` with partial statistics.
-    OverloadBurst,
-    /// A worker flaps — dies, rejoins, dies again — fast enough that
-    /// the silence detector alone would keep trusting it; the
-    /// per-worker circuit breaker must trip and take it out of
-    /// placement until it holds still.
-    FlappingWorker,
-}
-
-impl NetSchedule {
-    /// All schedules, matrix order.
-    pub const ALL: [NetSchedule; 6] = [
-        NetSchedule::WorkerCrashMidJob,
-        NetSchedule::PartitionDuringResult,
-        NetSchedule::CoordinatorRestart,
-        NetSchedule::Straggler,
-        NetSchedule::OverloadBurst,
-        NetSchedule::FlappingWorker,
-    ];
-
-    /// The stable CLI name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            NetSchedule::WorkerCrashMidJob => "worker_crash_mid_job",
-            NetSchedule::PartitionDuringResult => "partition_during_result",
-            NetSchedule::CoordinatorRestart => "coordinator_restart",
-            NetSchedule::Straggler => "straggler",
-            NetSchedule::OverloadBurst => "overload_burst",
-            NetSchedule::FlappingWorker => "flapping_worker",
-        }
-    }
-
-    /// Parses a CLI name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the valid names.
-    pub fn parse(name: &str) -> Result<NetSchedule, String> {
-        NetSchedule::ALL
-            .into_iter()
-            .find(|s| s.as_str() == name)
-            .ok_or_else(|| {
-                format!(
-                    "unknown schedule '{name}' (want one of: {})",
-                    NetSchedule::ALL.map(|s| s.as_str()).join(", ")
-                )
-            })
-    }
-}
-
-impl std::fmt::Display for NetSchedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One converged schedule run's summary.
-#[derive(Debug, Clone)]
-pub struct NetChaosOutcome {
-    /// Which schedule ran.
-    pub schedule: NetSchedule,
-    /// The transport/fault seed.
-    pub seed: u64,
-    /// Jobs submitted and completed.
-    pub jobs: usize,
-    /// Virtual steps until every job converged.
-    pub steps: u64,
-    /// Jobs migrated between workers.
-    pub migrations: u64,
-    /// Stale uploads fenced by the coordinator.
-    pub fenced: u64,
-    /// Migrations that shipped a checkpoint snapshot.
-    pub snapshots_shipped: u64,
-    /// Stale results the *workers* observed being discarded (each saw a
-    /// `409` and dropped its result).
-    pub worker_discards: u64,
-    /// Speculative second attempts the coordinator launched.
-    pub hedges: u64,
-    /// Jobs whose end-to-end deadline expired into `Inconclusive`.
-    pub expired: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Submissions shed with a `Retry-After` hint.
-    pub sheds: u64,
-}
-
 /// One simulated worker: accepts dispatches, "works" on each job for
 /// [`WORK_TICKS`] virtual steps (flushing a real checkpoint generation
 /// to its durable [`SimFs`] first), then runs the full verification and
@@ -191,7 +75,7 @@ pub struct SimWorker {
     /// The shared virtual clock, for end-to-end deadline checks.
     clock: Arc<AtomicU64>,
     /// Pumps a job occupies before its full verification runs
-    /// (default [`WORK_TICKS`]; the straggler schedule inflates it).
+    /// (default [`WORK_TICKS`]; the `cluster-hedge` arena slows `w2`).
     work_ticks: AtomicU32,
     /// Durable across crashes.
     fs: Arc<SimFs>,
@@ -286,6 +170,13 @@ impl SimWorker {
     /// and reboots it when an injected crash kills the "machine".
     pub(crate) fn sim_fs(&self) -> Arc<SimFs> {
         Arc::clone(&self.fs)
+    }
+
+    /// Accepted attempts whose result is not yet settled (adopted or
+    /// fenced by the coordinator).
+    pub fn unsettled(&self) -> usize {
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.jobs.values().filter(|j| !j.settled).count()
     }
 
     /// How many of this worker's results the coordinator fenced.
@@ -512,60 +403,44 @@ impl SimWorker {
         }
     }
 
-    /// The "mid-job" pass: a budget-bounded verification whose trip
+    /// The "mid-job" pass: a bounded verification whose budget trip
     /// flushes a genuine checkpoint generation to the durable SimFs —
     /// the snapshot a migration ships or a sticky retry resumes.
     fn flush_checkpoint(&self, dispatch: &Dispatch) {
-        let Ok(spec) = compile(&dispatch.request.source) else {
-            return;
-        };
-        let mut bounded = dispatch.request.config.config;
-        bounded.max_states = 200;
-        bounded.threads = 1;
-        let vfs: VfsHandle = self.fs.clone();
-        let options = VerifyOptions {
-            config: bounded,
-            checkpoint: Some((self.checkpoint_base(dispatch.job), 0)),
-            vfs: Some(vfs),
-            ..VerifyOptions::default()
-        };
-        let _ = spec.verify_all_with_options(&options);
+        let _ = self.bounded_pass(dispatch, Some(self.fs.clone()));
     }
 
     /// Deadline expiry: what a real worker's clamped time budget does —
-    /// a bounded pass whose budget trips mid-search, reported as an
-    /// `Inconclusive` completion that still carries the partial
-    /// statistics. Deterministic, because the bound is a state count on
-    /// virtual time, not a wall-clock race.
+    /// a bounded pass, reported as an `Inconclusive` completion that
+    /// still carries the partial statistics.
     fn expire(&self, dispatch: &Dispatch) {
-        let Ok(spec) = compile(&dispatch.request.source) else {
-            return;
-        };
-        let mut bounded = dispatch.request.config.config;
-        bounded.max_states = 200;
-        bounded.threads = 1;
+        if let Some(results) = self.bounded_pass(dispatch, None) {
+            self.complete(dispatch, Verdict::Inconclusive, results);
+        }
+    }
+
+    /// A single-threaded pass bounded at 200 states, so its budget trips
+    /// mid-search deterministically (a state count on virtual time, not
+    /// a wall-clock race); with `vfs`, the trip flushes a checkpoint
+    /// there.
+    fn bounded_pass(
+        &self,
+        dispatch: &Dispatch,
+        vfs: Option<VfsHandle>,
+    ) -> Option<Vec<PropertyResult>> {
+        let spec = compile(&dispatch.request.source).ok()?;
+        let mut config = dispatch.request.config.config;
+        config.max_states = 200;
+        config.threads = 1;
         let options = VerifyOptions {
-            config: bounded,
+            config,
+            checkpoint: vfs
+                .is_some()
+                .then(|| (self.checkpoint_base(dispatch.job), 0)),
+            vfs,
             ..VerifyOptions::default()
         };
-        let Ok(results) = spec.verify_all_with_options(&options) else {
-            return;
-        };
-        let completion = Completion {
-            job: dispatch.job,
-            epoch: dispatch.epoch,
-            worker: self.name.clone(),
-            verdict: Verdict::Inconclusive,
-            attempts: dispatch.attempts + 1,
-            error: None,
-            results: Some(results),
-        };
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(job) = state.jobs.get_mut(&dispatch.job) {
-            if job.epoch == dispatch.epoch && job.completion.is_none() {
-                job.completion = Some(completion);
-            }
-        }
+        spec.verify_all_with_options(&options).ok()
     }
 
     /// The full verification: resume from the local checkpoint if one
@@ -597,22 +472,29 @@ impl SimWorker {
             return;
         };
         let violated = results.iter().any(|r| !r.holds && !r.inconclusive);
+        let verdict = if violated {
+            Verdict::Violated
+        } else {
+            Verdict::Passed
+        };
+        self.complete(dispatch, verdict, results);
+    }
+
+    /// Records the attempt's completion, unless a newer epoch replaced
+    /// the attempt meanwhile.
+    fn complete(&self, dispatch: &Dispatch, verdict: Verdict, results: Vec<PropertyResult>) {
         let completion = Completion {
             job: dispatch.job,
             epoch: dispatch.epoch,
             worker: self.name.clone(),
-            verdict: if violated {
-                crate::job::Verdict::Violated
-            } else {
-                crate::job::Verdict::Passed
-            },
+            verdict,
             attempts: dispatch.attempts + 1,
             error: None,
             results: Some(results),
         };
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(job) = state.jobs.get_mut(&dispatch.job) {
-            if job.epoch == dispatch.epoch {
+            if job.epoch == dispatch.epoch && job.completion.is_none() {
                 job.completion = Some(completion);
             }
         }
@@ -639,10 +521,10 @@ pub(crate) fn cluster_config(vfs: VfsHandle) -> ClusterConfig {
     }
 }
 
-/// The legacy schedules' config: hedging would speculatively rescue a
+/// The `cluster` arena's config: hedging would speculatively rescue a
 /// crashed or partitioned worker's jobs *before* the failure detector
-/// fires, and these schedules exist to isolate the migration machinery
-/// — so park the hedge threshold out of reach.
+/// fires, and that arena exists to isolate the migration machinery —
+/// so park the hedge threshold out of reach.
 pub(crate) fn migration_cluster_config(vfs: VfsHandle) -> ClusterConfig {
     ClusterConfig {
         hedge_floor_ms: 3_600_000,
@@ -668,284 +550,7 @@ pub(crate) fn make_coordinator(
     coordinator
 }
 
-/// Runs one seeded schedule and checks the exactly-once and
-/// byte-identical invariants.
-///
-/// # Errors
-///
-/// Returns a description of the first violated invariant — a lost or
-/// double-counted job, a fingerprint that differs from the single-node
-/// baseline, a missing fence, or non-convergence — followed by a
-/// one-line repro command.
-pub fn run_net_schedule(schedule: NetSchedule, seed: u64) -> Result<NetChaosOutcome, String> {
-    run_net_schedule_inner(schedule, seed).map_err(|e| {
-        format!(
-            "{e}\n  repro: {}",
-            crate::chaosgen::matrix_repro(schedule.as_str(), seed)
-        )
-    })
-}
-
-fn run_net_schedule_inner(schedule: NetSchedule, seed: u64) -> Result<NetChaosOutcome, String> {
-    if matches!(
-        schedule,
-        NetSchedule::Straggler | NetSchedule::OverloadBurst | NetSchedule::FlappingWorker
-    ) {
-        return run_overload_schedule(schedule, seed);
-    }
-    // Single-node baselines, one per submitted job.
-    let specs: [(&str, &str); 3] = [(CHAOS_SPEC, "a"), (SMALL_SPEC, "b"), (CHAOS_SPEC, "a")];
-    let mut baselines = Vec::new();
-    for (source, _) in &specs {
-        let spec = compile(source).map_err(|e| format!("spec does not compile: {e}"))?;
-        let options = VerifyOptions {
-            config: SearchConfig {
-                threads: 1,
-                ..SearchConfig::default()
-            },
-            ..VerifyOptions::default()
-        };
-        let results = spec
-            .verify_all_with_options(&options)
-            .map_err(|e| format!("baseline run failed: {e}"))?;
-        baselines.push(results_fingerprint(&results));
-    }
-
-    let net = SimNet::new(seed);
-    let now = Arc::new(AtomicU64::new(0));
-    let coordinator_fs: Arc<SimFs> = Arc::new(SimFs::new(seed ^ 0x636f_6f72_645f_6673));
-    let coordinator_vfs: VfsHandle = coordinator_fs.clone();
-    let _ = coordinator_vfs.create_dir_all(&PathBuf::from("/coord"));
-    let mut coordinator = make_coordinator(
-        &net,
-        migration_cluster_config(coordinator_vfs.clone()),
-        &now,
-    );
-
-    let w1 = SimWorker::new(&net, "w1", "coord", seed ^ 1, &now);
-    let w2 = SimWorker::new(&net, "w2", "coord", seed ^ 2, &now);
-    w1.run_pending();
-    w2.run_pending();
-    coordinator.tick(0);
-
-    // A light background fault plan so every seed exercises a different
-    // interleaving of drops, duplicates, and resets.
-    net.set_plan(NetPlan {
-        drop_request_per_mille: 30,
-        drop_response_per_mille: 30,
-        duplicate_per_mille: 60,
-        reset_per_mille: 20,
-    });
-
-    // Submit through the real client with idempotency keys, so even a
-    // faulted submission admits exactly one job.
-    let mut ids = Vec::new();
-    for (index, (source, tenant)) in specs.iter().enumerate() {
-        let mut client = SubmitClient::new(net.endpoint("client"));
-        client.retry_backoff = std::time::Duration::ZERO;
-        client.max_retries = 8;
-        client.idem_key = Some(format!("netchaos-{seed}-{index}"));
-        let outcome = client
-            .submit("coord", source, &format!("tenant={tenant}"))
-            .map_err(|e| format!("submit {index} failed: {e}"))?;
-        ids.push(
-            outcome
-                .id
-                .strip_prefix("g-")
-                .and_then(|n| n.parse::<u64>().ok())
-                .ok_or_else(|| format!("unexpected job id {}", outcome.id))?,
-        );
-    }
-    if ids != [1, 2, 3] {
-        return Err(format!("expected jobs g-1..g-3, got {ids:?}"));
-    }
-
-    let mut steps = 0u64;
-    let mut crash_target: Option<(Arc<SimWorker>, u64)> = None;
-    let mut restarted = false;
-    let mut partitioned_at: Option<u64> = None;
-    let mut healed = false;
-    loop {
-        steps += 1;
-        if steps > MAX_STEPS {
-            return Err(format!(
-                "{schedule} seed {seed}: no convergence after {MAX_STEPS} steps"
-            ));
-        }
-        let t = steps * STEP_MS;
-        now.store(t, Ordering::Relaxed);
-
-        match schedule {
-            NetSchedule::WorkerCrashMidJob => {
-                if crash_target.is_none() && t >= 300 {
-                    // Crash whichever worker holds g-1 mid-run; its
-                    // checkpoint generations survive on its SimFs, the
-                    // job's in-memory state does not.
-                    if let Some(holder) = coordinator.worker_of(1) {
-                        let target = if holder == "w2" {
-                            Arc::clone(&w2)
-                        } else {
-                            Arc::clone(&w1)
-                        };
-                        target.crash();
-                        crash_target = Some((target, t));
-                    }
-                }
-                if let Some((target, crashed_at)) = &crash_target {
-                    // Restart before the failure detector gives up on
-                    // the worker: the coordinator's request-deadline
-                    // poll then finds a daemon that *lost* the job
-                    // (404) and must migrate it — sticky back to the
-                    // restarted worker, which resumes from its durable
-                    // checkpoint.
-                    if !restarted && t >= crashed_at + 900 {
-                        target.restart();
-                        restarted = true;
-                    }
-                }
-            }
-            NetSchedule::PartitionDuringResult => {
-                if partitioned_at.is_none() && t >= 300 {
-                    // Partition g-1's worker off entirely while its
-                    // result uploads: pushes, heartbeats, and the
-                    // coordinator's deadline polls all fail until the
-                    // heal.
-                    if let Some(holder) = coordinator.worker_of(1) {
-                        net.cut(&holder, "coord");
-                        net.cut("coord", &holder);
-                        partitioned_at = Some(t);
-                    }
-                }
-                if partitioned_at.is_some() && !healed && coordinator.stats().migrations > 0 {
-                    // The deadline poll just condemned the partitioned
-                    // worker and bumped the job's epoch. Heal *before*
-                    // the re-dispatch goes out: the dead-but-reachable
-                    // worker now serves the snapshot fetch (shipping
-                    // its checkpoint to the new worker) and its late
-                    // result upload meets the epoch fence.
-                    net.heal_all();
-                    healed = true;
-                }
-            }
-            NetSchedule::CoordinatorRestart => {
-                if t == 300 {
-                    // Drain persists every open job to cluster.pnpq on
-                    // the coordinator's durable SimFs; the replacement
-                    // restores them behind bumped epochs, so every
-                    // pre-restart attempt reports into the fence.
-                    coordinator.drain();
-                    coordinator = make_coordinator(
-                        &net,
-                        migration_cluster_config(coordinator_vfs.clone()),
-                        &now,
-                    );
-                    if coordinator.stats().restored == 0 {
-                        return Err(format!("{schedule} seed {seed}: restart restored no jobs"));
-                    }
-                }
-            }
-            // Routed to run_overload_schedule above.
-            NetSchedule::Straggler | NetSchedule::OverloadBurst | NetSchedule::FlappingWorker => {}
-        }
-
-        coordinator.tick(t);
-        w1.run_pending();
-        w2.run_pending();
-
-        if coordinator.all_done() {
-            break;
-        }
-    }
-    net.set_plan(NetPlan::default());
-
-    // Invariant 1: exactly-once completion per job.
-    let stats = coordinator.stats();
-    for (&id, baseline) in ids.iter().zip(&baselines) {
-        let completion = coordinator
-            .completion(id)
-            .ok_or_else(|| format!("{schedule} seed {seed}: g-{id} has no completion"))?;
-        let results = completion
-            .results
-            .as_deref()
-            .ok_or_else(|| format!("{schedule} seed {seed}: g-{id} completed without results"))?;
-        // Invariant 2: byte-identical to the single-node run.
-        let fp = results_fingerprint(results);
-        if fp != *baseline {
-            return Err(format!(
-                "{schedule} seed {seed}: g-{id} fingerprint {fp:#018x} differs from baseline \
-                 {baseline:#018x}"
-            ));
-        }
-    }
-    if stats.completed != ids.len() as u64 {
-        return Err(format!(
-            "{schedule} seed {seed}: {} completions recorded for {} jobs",
-            stats.completed,
-            ids.len()
-        ));
-    }
-
-    let worker_discards = w1.discarded() + w2.discarded();
-    // Invariant 3: schedule-specific observability. The partition and
-    // restart schedules force a stale result into existence, so its
-    // fenced discard must be provable; the crash schedule must actually
-    // migrate or resume work.
-    match schedule {
-        NetSchedule::WorkerCrashMidJob => {
-            if stats.migrations == 0 {
-                return Err(format!("{schedule} seed {seed}: crash caused no migration"));
-            }
-        }
-        NetSchedule::PartitionDuringResult | NetSchedule::CoordinatorRestart => {
-            if stats.fenced == 0 || worker_discards == 0 {
-                return Err(format!(
-                    "{schedule} seed {seed}: expected a fenced stale result \
-                     (fenced={}, worker discards={worker_discards})",
-                    stats.fenced
-                ));
-            }
-            if schedule == NetSchedule::PartitionDuringResult && stats.snapshots_shipped == 0 {
-                return Err(format!(
-                    "{schedule} seed {seed}: migration shipped no checkpoint snapshot"
-                ));
-            }
-        }
-        NetSchedule::Straggler | NetSchedule::OverloadBurst | NetSchedule::FlappingWorker => {}
-    }
-
-    Ok(NetChaosOutcome {
-        schedule,
-        seed,
-        jobs: ids.len(),
-        steps,
-        migrations: stats.migrations,
-        fenced: stats.fenced,
-        snapshots_shipped: stats.snapshots_shipped,
-        worker_discards,
-        hedges: stats.hedges,
-        expired: stats.expired,
-        breaker_trips: stats.breaker_trips,
-        sheds: stats.shed,
-    })
-}
-
-/// One planned submission of an overload-schedule run.
-struct Submission {
-    source: &'static str,
-    tenant: &'static str,
-    /// End-to-end budget sent as `job_deadline_ms`; such a job is
-    /// expected to expire `Inconclusive`, so it has no baseline.
-    deadline_ms: Option<u64>,
-    /// Single-node fingerprint the adopted result must match.
-    baseline: Option<u64>,
-    idem: String,
-    /// Coordinator job id, once admitted.
-    id: Option<u64>,
-    /// Earliest virtual time to (re)try the submission — moved forward
-    /// by the daemon's `Retry-After` hint on a shed.
-    retry_at: u64,
-}
-
+/// The fingerprint of an uninterrupted single-node run of `source`.
 pub(crate) fn baseline_fingerprint(source: &str) -> Result<u64, String> {
     let spec = compile(source).map_err(|e| format!("spec does not compile: {e}"))?;
     let options = VerifyOptions {
@@ -959,381 +564,4 @@ pub(crate) fn baseline_fingerprint(source: &str) -> Result<u64, String> {
         .verify_all_with_options(&options)
         .map_err(|e| format!("baseline run failed: {e}"))?;
     Ok(results_fingerprint(&results))
-}
-
-/// The straggler / overload-burst / flapping-worker schedules: same
-/// invariants as the legacy schedules, but the clients submit *during*
-/// the run (so sheds and `Retry-After` hints are exercised for real)
-/// and the fault clock drives load pathologies instead of partitions.
-fn run_overload_schedule(schedule: NetSchedule, seed: u64) -> Result<NetChaosOutcome, String> {
-    let fp_chaos = baseline_fingerprint(CHAOS_SPEC)?;
-    let fp_small = baseline_fingerprint(SMALL_SPEC)?;
-    let plan = |source: &'static str, tenant: &'static str, deadline_ms: Option<u64>| {
-        let baseline = match deadline_ms {
-            // A deadline job's partial results legitimately differ
-            // from the uninterrupted baseline.
-            Some(_) => None,
-            None if source == CHAOS_SPEC => Some(fp_chaos),
-            None => Some(fp_small),
-        };
-        (source, tenant, deadline_ms, baseline)
-    };
-    let planned: Vec<(&'static str, &'static str, Option<u64>, Option<u64>)> = match schedule {
-        NetSchedule::Straggler => vec![
-            plan(CHAOS_SPEC, "a", None),
-            plan(SMALL_SPEC, "b", None),
-            plan(CHAOS_SPEC, "a", None),
-        ],
-        NetSchedule::OverloadBurst => vec![
-            // The deadline job goes first so it is admitted (and its
-            // budget starts) before the burst fills the two slots.
-            plan(CHAOS_SPEC, "a", Some(350)),
-            plan(SMALL_SPEC, "b", None),
-            plan(SMALL_SPEC, "a", None),
-            plan(CHAOS_SPEC, "b", None),
-            plan(SMALL_SPEC, "b", None),
-        ],
-        NetSchedule::FlappingWorker => vec![
-            plan(CHAOS_SPEC, "a", None),
-            plan(SMALL_SPEC, "b", None),
-            plan(SMALL_SPEC, "a", None),
-            plan(CHAOS_SPEC, "b", None),
-            plan(SMALL_SPEC, "a", None),
-            plan(SMALL_SPEC, "b", None),
-        ],
-        _ => unreachable!("only the overload schedules route here"),
-    };
-    let mut submissions: Vec<Submission> = planned
-        .into_iter()
-        .enumerate()
-        .map(
-            |(index, (source, tenant, deadline_ms, baseline))| Submission {
-                source,
-                tenant,
-                deadline_ms,
-                baseline,
-                idem: format!("netchaos-{seed}-{index}"),
-                id: None,
-                retry_at: 0,
-            },
-        )
-        .collect();
-
-    let net = SimNet::new(seed);
-    let now = Arc::new(AtomicU64::new(0));
-    let coordinator_fs: Arc<SimFs> = Arc::new(SimFs::new(seed ^ 0x636f_6f72_645f_6673));
-    let coordinator_vfs: VfsHandle = coordinator_fs.clone();
-    let _ = coordinator_vfs.create_dir_all(&PathBuf::from("/coord"));
-    let mut config = cluster_config(coordinator_vfs.clone());
-    match schedule {
-        // Two admission slots turn a five-job burst into real sheds.
-        NetSchedule::OverloadBurst => config.capacity = 2,
-        // A tight breaker so two refused dispatches in one tick trip it.
-        NetSchedule::FlappingWorker => {
-            config.breaker = BreakerConfig {
-                failures: 2,
-                window_ms: 10_000,
-                cooldown_ms: 2_000,
-            };
-        }
-        _ => {}
-    }
-    let coordinator = make_coordinator(&net, config, &now);
-    let w1 = SimWorker::new(&net, "w1", "coord", seed ^ 1, &now);
-    let w2 = SimWorker::new(&net, "w2", "coord", seed ^ 2, &now);
-    if schedule == NetSchedule::Straggler {
-        // An order of magnitude slower than WORK_TICKS: w2's dispatches
-        // sit far past the hedge threshold.
-        w2.set_work_ticks(60);
-    }
-    w1.run_pending();
-    w2.run_pending();
-    coordinator.tick(0);
-    net.set_plan(match schedule {
-        // The straggler's fault model is slowness, not loss: keep
-        // delivery reliable so the hedge race is deterministic, but let
-        // duplicated deliveries keep probing idempotency.
-        NetSchedule::Straggler => NetPlan {
-            drop_request_per_mille: 0,
-            drop_response_per_mille: 0,
-            duplicate_per_mille: 60,
-            reset_per_mille: 0,
-        },
-        _ => NetPlan {
-            drop_request_per_mille: 30,
-            drop_response_per_mille: 30,
-            duplicate_per_mille: 60,
-            reset_per_mille: 20,
-        },
-    });
-
-    let mut steps = 0u64;
-    loop {
-        steps += 1;
-        if steps > MAX_STEPS {
-            return Err(format!(
-                "{schedule} seed {seed}: no convergence after {MAX_STEPS} steps"
-            ));
-        }
-        let t = steps * STEP_MS;
-        now.store(t, Ordering::Relaxed);
-
-        if schedule == NetSchedule::FlappingWorker {
-            // Die, rejoin, die again — each rejoin must find the
-            // breaker's failure history intact, not laundered.
-            match t {
-                100 | 1800 => w2.crash(),
-                1000 | 2600 => w2.restart(),
-                _ => {}
-            }
-        }
-
-        // Clients (re)try their submissions, honoring shed hints.
-        for submission in &mut submissions {
-            if submission.id.is_some() || t < submission.retry_at {
-                continue;
-            }
-            let mut client = SubmitClient::new(net.endpoint("client"));
-            client.retry_backoff = std::time::Duration::ZERO;
-            client.max_retries = 8;
-            client.idem_key = Some(submission.idem.clone());
-            let mut query = format!("tenant={}", submission.tenant);
-            if let Some(ms) = submission.deadline_ms {
-                query.push_str(&format!("&job_deadline_ms={ms}"));
-            }
-            match client.submit("coord", submission.source, &query) {
-                Ok(outcome) => {
-                    submission.id = Some(
-                        outcome
-                            .id
-                            .strip_prefix("g-")
-                            .and_then(|n| n.parse::<u64>().ok())
-                            .ok_or_else(|| format!("unexpected job id {}", outcome.id))?,
-                    );
-                }
-                Err(ClientError::Retryable { retry_after_ms, .. }) => {
-                    // Shed (or transient network trouble): come back at
-                    // the hinted time, next step at the earliest.
-                    submission.retry_at = t + retry_after_ms.unwrap_or(STEP_MS).max(STEP_MS);
-                }
-                Err(fatal) => {
-                    return Err(format!("{schedule} seed {seed}: submit failed: {fatal}"))
-                }
-            }
-        }
-
-        coordinator.tick(t);
-        w1.run_pending();
-        w2.run_pending();
-
-        if submissions.iter().all(|s| s.id.is_some()) && coordinator.all_done() {
-            break;
-        }
-    }
-    net.set_plan(NetPlan::default());
-
-    if schedule == NetSchedule::Straggler {
-        // Keep the clock moving until the straggler finally finishes
-        // and pushes its long-superseded result into the fence.
-        let mut extra = 0u64;
-        while w1.discarded() + w2.discarded() == 0 {
-            extra += 1;
-            if extra > 400 {
-                return Err(format!(
-                    "{schedule} seed {seed}: straggler's late result never surfaced"
-                ));
-            }
-            steps += 1;
-            let t = steps * STEP_MS;
-            now.store(t, Ordering::Relaxed);
-            coordinator.tick(t);
-            w1.run_pending();
-            w2.run_pending();
-        }
-    }
-
-    // Invariant 1 and 2: exactly-once completion, byte-identical to the
-    // single-node baseline (deadline jobs excepted: their contract is
-    // an honest Inconclusive with partial statistics instead).
-    let stats = coordinator.stats();
-    for submission in &submissions {
-        let id = submission
-            .id
-            .ok_or_else(|| format!("{schedule} seed {seed}: a submission was never admitted"))?;
-        let completion = coordinator.completion(id);
-        if let Some(baseline) = submission.baseline {
-            let completion = completion
-                .ok_or_else(|| format!("{schedule} seed {seed}: g-{id} has no completion"))?;
-            let results = completion.results.as_deref().ok_or_else(|| {
-                format!("{schedule} seed {seed}: g-{id} completed without results")
-            })?;
-            let fp = results_fingerprint(results);
-            if fp != baseline {
-                return Err(format!(
-                    "{schedule} seed {seed}: g-{id} fingerprint {fp:#018x} differs from \
-                     baseline {baseline:#018x}"
-                ));
-            }
-        } else {
-            match completion {
-                Some(completion) => {
-                    if completion.verdict != Verdict::Inconclusive {
-                        return Err(format!(
-                            "{schedule} seed {seed}: deadline job g-{id} ended {:?}, \
-                             want Inconclusive",
-                            completion.verdict
-                        ));
-                    }
-                    let Some(results) = completion.results.as_deref() else {
-                        return Err(format!(
-                            "{schedule} seed {seed}: deadline job g-{id} carries no \
-                             partial statistics"
-                        ));
-                    };
-                    if !results.iter().any(|r| r.inconclusive) {
-                        return Err(format!(
-                            "{schedule} seed {seed}: deadline job g-{id} results claim \
-                             a conclusive verdict"
-                        ));
-                    }
-                }
-                // The coordinator's backstop expired it before any
-                // worker attempt could donate partial statistics.
-                None if stats.expired >= 1 => {}
-                None => {
-                    return Err(format!(
-                        "{schedule} seed {seed}: deadline job g-{id} vanished without \
-                         an expiry"
-                    ));
-                }
-            }
-        }
-    }
-    if stats.completed != submissions.len() as u64 {
-        return Err(format!(
-            "{schedule} seed {seed}: {} completions recorded for {} jobs",
-            stats.completed,
-            submissions.len()
-        ));
-    }
-
-    // Invariant 3: the pathology each schedule manufactures must be
-    // provably observed, not silently absorbed.
-    let worker_discards = w1.discarded() + w2.discarded();
-    match schedule {
-        NetSchedule::Straggler => {
-            if stats.hedges == 0 {
-                return Err(format!("{schedule} seed {seed}: no hedge was launched"));
-            }
-            if stats.fenced == 0 || worker_discards == 0 {
-                return Err(format!(
-                    "{schedule} seed {seed}: the straggler's late result was not fenced \
-                     (fenced={}, worker discards={worker_discards})",
-                    stats.fenced
-                ));
-            }
-        }
-        NetSchedule::OverloadBurst => {
-            if stats.shed == 0 {
-                return Err(format!("{schedule} seed {seed}: the burst was never shed"));
-            }
-        }
-        NetSchedule::FlappingWorker => {
-            if stats.breaker_trips == 0 {
-                return Err(format!(
-                    "{schedule} seed {seed}: the flapping worker never tripped its breaker"
-                ));
-            }
-        }
-        _ => unreachable!("only the overload schedules route here"),
-    }
-
-    Ok(NetChaosOutcome {
-        schedule,
-        seed,
-        jobs: submissions.len(),
-        steps,
-        migrations: stats.migrations,
-        fenced: stats.fenced,
-        snapshots_shipped: stats.snapshots_shipped,
-        worker_discards,
-        hedges: stats.hedges,
-        expired: stats.expired,
-        breaker_trips: stats.breaker_trips,
-        sheds: stats.shed,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn schedule_names_roundtrip() {
-        for schedule in NetSchedule::ALL {
-            assert_eq!(NetSchedule::parse(schedule.as_str()).unwrap(), schedule);
-        }
-        assert!(NetSchedule::parse("rm_rf").is_err());
-    }
-
-    #[test]
-    fn worker_crash_schedule_converges() {
-        let outcome = run_net_schedule(NetSchedule::WorkerCrashMidJob, 7).unwrap();
-        assert_eq!(outcome.jobs, 3);
-        assert!(outcome.migrations >= 1);
-    }
-
-    #[test]
-    fn partition_schedule_fences_the_stale_result() {
-        let outcome = run_net_schedule(NetSchedule::PartitionDuringResult, 7).unwrap();
-        assert!(outcome.fenced >= 1);
-        assert!(outcome.worker_discards >= 1);
-    }
-
-    #[test]
-    fn coordinator_restart_schedule_restores_and_fences() {
-        let outcome = run_net_schedule(NetSchedule::CoordinatorRestart, 7).unwrap();
-        assert!(outcome.fenced >= 1);
-    }
-
-    #[test]
-    fn same_seed_replays_identically() {
-        let a = run_net_schedule(NetSchedule::WorkerCrashMidJob, 11).unwrap();
-        let b = run_net_schedule(NetSchedule::WorkerCrashMidJob, 11).unwrap();
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.migrations, b.migrations);
-        assert_eq!(a.fenced, b.fenced);
-    }
-
-    #[test]
-    fn straggler_schedule_hedges_and_fences_the_late_result() {
-        let outcome = run_net_schedule(NetSchedule::Straggler, 7).unwrap();
-        assert_eq!(outcome.jobs, 3);
-        assert!(outcome.hedges >= 1);
-        assert!(outcome.fenced >= 1);
-        assert!(outcome.worker_discards >= 1);
-    }
-
-    #[test]
-    fn overload_burst_schedule_sheds_and_expires_the_deadline_job() {
-        let outcome = run_net_schedule(NetSchedule::OverloadBurst, 7).unwrap();
-        assert_eq!(outcome.jobs, 5);
-        assert!(outcome.sheds >= 1);
-    }
-
-    #[test]
-    fn flapping_worker_schedule_trips_the_breaker() {
-        let outcome = run_net_schedule(NetSchedule::FlappingWorker, 7).unwrap();
-        assert_eq!(outcome.jobs, 6);
-        assert!(outcome.breaker_trips >= 1);
-    }
-
-    #[test]
-    fn overload_schedules_replay_identically() {
-        let a = run_net_schedule(NetSchedule::Straggler, 13).unwrap();
-        let b = run_net_schedule(NetSchedule::Straggler, 13).unwrap();
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.hedges, b.hedges);
-        assert_eq!(a.fenced, b.fenced);
-    }
 }

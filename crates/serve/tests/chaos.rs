@@ -1,5 +1,6 @@
-//! Seeded storage-chaos tests: the fault-schedule matrix over the
-//! simulated filesystem, harness determinism, the two checkpoint crash
+//! Seeded storage-chaos tests: the storage and queue presets of the
+//! chaos matrix over the simulated filesystem, harness determinism, the
+//! two checkpoint crash
 //! windows the durability design must survive, and a supervisor running
 //! end to end on [`SimFs`].
 
@@ -10,8 +11,8 @@ use std::time::Duration;
 use pnp_kernel::{load_latest_snapshot, FaultPlan, GenStore, SimFs, Snapshot, Vfs, VfsHandle};
 use pnp_lang::{compile, VerifyOptions};
 use pnp_net::{SimNet, WireRequest};
-use pnp_serve::chaos::{
-    results_fingerprint, run_schedule, ChaosOutcome, Schedule, CHAOS_SPEC, CHECKPOINT_EVERY,
+use pnp_serve::chaosgen::{
+    preset, results_fingerprint, run_generated, GenOutcome, CHAOS_SPEC, CHECKPOINT_EVERY, PRESETS,
 };
 use pnp_serve::cluster::{ClusterConfig, Coordinator};
 use pnp_serve::job::{Chaos, JobConfig, JobRequest, Verdict};
@@ -26,20 +27,24 @@ fn sim_with_state(seed: u64) -> (Arc<SimFs>, VfsHandle) {
     (fs, vfs)
 }
 
-/// The acceptance matrix: every seed × schedule recovers to results
-/// byte-identical to an uninterrupted run (or, for the drain schedule,
-/// to exactly the old or new queue), with no invariant violation.
+/// The presets that run on the storage and queue arenas.
+fn storage_presets() -> impl Iterator<Item = &'static str> {
+    PRESETS
+        .into_iter()
+        .filter(|name| !preset(name, 0).unwrap().arena.is_cluster())
+}
+
+/// The acceptance matrix: every seed × storage preset recovers to
+/// results byte-identical to an uninterrupted run (or, for the drain
+/// preset, to exactly the old or new queue) and meets its required
+/// witnesses — at least one fault fired, and for `resume-after-spill`
+/// a disk-backed resume.
 #[test]
 fn fault_schedule_matrix_recovers_byte_identical() {
-    for schedule in Schedule::ALL {
+    for name in storage_presets() {
         for seed in 0..8 {
-            let outcome = run_schedule(schedule, seed)
-                .unwrap_or_else(|e| panic!("{schedule} seed {seed}: {e}"));
-            assert!(
-                outcome.identical,
-                "{schedule} seed {seed} diverged: {}",
-                outcome.detail
-            );
+            run_generated(&preset(name, seed).unwrap())
+                .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
         }
     }
 }
@@ -49,10 +54,10 @@ fn fault_schedule_matrix_recovers_byte_identical() {
 /// same recovered fingerprint.
 #[test]
 fn same_seed_reproduces_the_same_chaos_run() {
-    for schedule in Schedule::ALL {
-        let a: ChaosOutcome = run_schedule(schedule, 7).unwrap();
-        let b: ChaosOutcome = run_schedule(schedule, 7).unwrap();
-        assert_eq!(a, b, "{schedule} is not deterministic");
+    for name in storage_presets() {
+        let a: GenOutcome = run_generated(&preset(name, 7).unwrap()).unwrap();
+        let b: GenOutcome = run_generated(&preset(name, 7).unwrap()).unwrap();
+        assert_eq!(a, b, "{name} is not deterministic");
     }
 }
 

@@ -1,34 +1,96 @@
-//! End-to-end tests for the randomized fault-schedule search: format
-//! error paths, run determinism (including the injected-fault trace),
-//! the shrinker's 1-minimality contract, and the planted-bug detection
-//! the committed `chaos-corpus/` guards.
+//! End-to-end tests for the chaos system: the named presets (format
+//! round-trips, determinism, and the witnesses that keep them
+//! non-vacuous), format error paths, run determinism (including the
+//! injected-fault trace), generated injections that actually fire, the
+//! shrinker's 1-minimality contract, and the planted-bug detection the
+//! committed `chaos-corpus/` guards.
 
-use pnp_serve::chaos::Schedule;
 use pnp_serve::chaosgen::{
-    generate, replay, run_generated, search, shrink_with, Arena, BugPlant, FaultSchedule, Profile,
+    generate, preset, replay, run_generated, search, shrink_with, Arena, BugPlant, FaultSchedule,
+    Injection, Profile, PRESETS,
 };
-use pnp_serve::netchaos::NetSchedule;
 use proptest::prelude::*;
 
 #[test]
 fn matrix_schedule_parsers_reject_unknown_names_and_list_the_valid_ones() {
-    let storage = Schedule::parse("not-a-schedule").unwrap_err();
-    assert!(storage.contains("not-a-schedule"), "{storage}");
-    assert!(storage.contains("checkpoint-crash"), "{storage}");
-    assert!(storage.contains("resume-after-spill"), "{storage}");
-
-    let cluster = NetSchedule::parse("not-a-schedule").unwrap_err();
-    assert!(cluster.contains("not-a-schedule"), "{cluster}");
-    assert!(cluster.contains("worker_crash_mid_job"), "{cluster}");
-    assert!(cluster.contains("flapping_worker"), "{cluster}");
-
-    // The old binaries' names must all keep parsing (CLI aliases).
-    for name in Schedule::ALL.map(|s| s.as_str()) {
-        Schedule::parse(name).unwrap();
+    let error = preset("not-a-schedule", 0).unwrap_err();
+    assert!(error.contains("not-a-schedule"), "{error}");
+    for name in [
+        "checkpoint-crash",
+        "resume-after-spill",
+        "worker_crash_mid_job",
+        "flapping_worker",
+    ] {
+        assert!(error.contains(name), "{error}");
     }
-    for name in NetSchedule::ALL.map(|s| s.as_str()) {
-        NetSchedule::parse(name).unwrap();
+
+    // Every matrix name of the old storage and cluster runners keeps
+    // naming a preset.
+    assert_eq!(PRESETS.len(), 12);
+    for name in PRESETS {
+        preset(name, 0).unwrap();
     }
+}
+
+#[test]
+fn every_preset_roundtrips_and_replays_to_an_identical_outcome() {
+    for name in PRESETS {
+        let schedule = preset(name, 3).unwrap();
+        let parsed = FaultSchedule::parse(&schedule.encode()).unwrap();
+        assert_eq!(parsed, schedule, "{name}");
+        let a = run_generated(&schedule).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let b = run_generated(&parsed).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(a, b, "{name}: a parsed preset must replay identically");
+    }
+}
+
+/// Each preset with its headline fault taken away converges but fails
+/// the witness it exists to provoke: the `require` directives are what
+/// keep the matrix from passing vacuously.
+#[test]
+fn a_preset_without_its_headline_event_fails_its_witness_oracle() {
+    let without_events = |schedule: &mut FaultSchedule| {
+        schedule
+            .injections
+            .retain(|i| !matches!(i, Injection::Worker { .. } | Injection::CoordRestart { .. }));
+    };
+    type Weaken<'a> = &'a dyn Fn(&mut FaultSchedule);
+    let cases: [(&str, Weaken, &str); 8] = [
+        ("checkpoint-crash", &|s| s.injections.clear(), "no-fault"),
+        ("drain-crash", &|s| s.injections.clear(), "no-fault"),
+        // The crash moved before the spill: the resume is in memory.
+        (
+            "resume-after-spill",
+            &|s| {
+                s.injections = FaultSchedule::parse("arena queue\nseed 0\nfs main crash @1")
+                    .unwrap()
+                    .injections
+            },
+            "no-disk-resume",
+        ),
+        ("worker_crash_mid_job", &without_events, "no-migration"),
+        // A duplicated completion push may still be fenced; the
+        // snapshot ship proves the partition's migration.
+        (
+            "partition_during_result",
+            &without_events,
+            "no-snapshot-ship",
+        ),
+        ("coordinator_restart", &without_events, "no-restore"),
+        // The same injections on the plain cluster: no slow worker.
+        ("straggler", &|s| s.arena = Arena::Cluster, "no-hedge"),
+        ("flapping_worker", &without_events, "no-breaker-trip"),
+    ];
+    for (name, weaken, oracle) in cases {
+        let mut schedule = preset(name, 0).unwrap();
+        weaken(&mut schedule);
+        let failure = run_generated(&schedule).unwrap_err();
+        assert_eq!(failure.oracle, oracle, "{name}: {failure}");
+    }
+    // The burst needs the arena's two admission slots.
+    let mut schedule = preset("overload_burst", 0).unwrap();
+    schedule.arena = Arena::Cluster;
+    assert_eq!(run_generated(&schedule).unwrap_err().oracle, "no-shed");
 }
 
 #[test]
@@ -82,6 +144,63 @@ fn same_seed_runs_produce_identical_fired_traces() {
     let b = run_generated(&schedule).unwrap();
     assert_eq!(a.fired, b.fired, "cluster fired trace must be stable");
     assert_eq!(a, b);
+}
+
+/// Generated injections land inside the windows of the arena's
+/// fault-free run, so a medium-profile run nearly always fires one.
+fn fires_faults_in(arena: Arena) {
+    let silent = (0..40u64)
+        .filter(|&seed| {
+            let schedule = generate(arena, seed, Profile::Medium);
+            let fired = match run_generated(&schedule) {
+                Ok(outcome) => outcome.fired,
+                Err(failure) => failure.fired,
+            };
+            fired.is_empty()
+        })
+        .count();
+    assert!(
+        silent <= 2,
+        "{arena}: {silent} of 40 medium runs fired no fault"
+    );
+}
+
+#[test]
+fn generated_storage_runs_fire_faults() {
+    fires_faults_in(Arena::Storage);
+    fires_faults_in(Arena::StorageSpill);
+}
+
+#[test]
+fn generated_cluster_runs_fire_faults() {
+    fires_faults_in(Arena::Cluster);
+    fires_faults_in(Arena::ClusterHedge);
+}
+
+#[test]
+fn generated_overload_cluster_runs_fire_faults() {
+    fires_faults_in(Arena::ClusterBurst);
+    fires_faults_in(Arena::ClusterBreaker);
+}
+
+#[test]
+fn finished_jobs_leftover_hedges_do_not_hold_worker_slots() {
+    // Found by `chaos_search search --seed 5` on the cluster-breaker
+    // arena: w2 dies for good, w1's disk crash takes it down and back,
+    // and the jobs hedged meanwhile finish. Their hedge records used to
+    // keep counting against w1's two in-flight slots, so the remaining
+    // jobs were never placed again.
+    let text = "\
+arena cluster-breaker
+seed 12047317805021121321
+fs w1 crash @5
+net drop-request @2
+worker w2 crash @5
+";
+    let schedule = FaultSchedule::parse(text).unwrap();
+    let outcome = run_generated(&schedule).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(outcome.evidence.jobs, 6);
+    assert!(outcome.evidence.hedges >= 1, "{}", outcome.evidence);
 }
 
 #[test]

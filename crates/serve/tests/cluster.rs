@@ -1,6 +1,6 @@
 //! Cluster integration tests: a real [`Coordinator`] fronting real
 //! [`Supervisor`]-backed [`WorkerGateway`]s over an in-memory
-//! [`SimNet`], plus the seeded network-chaos matrix and the
+//! [`SimNet`], plus the cluster presets of the chaos matrix and the
 //! snapshot-shipping supervisor hooks.
 //!
 //! The end-to-end test is the "quiet network" baseline the chaos matrix
@@ -16,10 +16,9 @@ use std::time::Duration;
 
 use pnp_lang::{compile, VerifyOptions};
 use pnp_net::{SimNet, SubmitClient, Transport, WireRequest};
-use pnp_serve::chaos::results_fingerprint;
+use pnp_serve::chaosgen::{preset, results_fingerprint, run_generated, PRESETS};
 use pnp_serve::cluster::{ClusterConfig, Coordinator, WorkerGateway};
 use pnp_serve::job::{JobConfig, JobRequest, Verdict};
-use pnp_serve::netchaos::{run_net_schedule, NetSchedule};
 use pnp_serve::supervisor::{ServeConfig, Supervisor};
 
 const COUNTERS: &str = r#"
@@ -258,21 +257,26 @@ fn seed_snapshot_resume_is_fingerprint_identical() {
     supervisor.drain();
 }
 
-/// The chaos matrix, small edition: every schedule across four seeds.
-/// CI runs the full 8-seed matrix in release via the `cluster_chaos`
-/// binary; this keeps a debug-build gate in `cargo test`.
+/// The cluster chaos matrix, small edition: every cluster preset
+/// across four seeds, each meeting its required witnesses. CI runs the
+/// full 8-seed matrix in release via `chaos_search matrix`; this keeps
+/// a debug-build gate in `cargo test`.
 #[test]
 fn net_chaos_matrix_smoke() {
-    for schedule in NetSchedule::ALL {
-        let expected_jobs = match schedule {
-            NetSchedule::OverloadBurst => 5,
-            NetSchedule::FlappingWorker => 6,
+    for name in PRESETS {
+        let expected_jobs = match name {
+            "overload_burst" => 5,
+            "flapping_worker" => 6,
             _ => 3,
         };
         for seed in 0..4 {
-            let outcome = run_net_schedule(schedule, seed)
-                .unwrap_or_else(|e| panic!("{schedule} seed {seed}: {e}"));
-            assert_eq!(outcome.jobs, expected_jobs);
+            let schedule = preset(name, seed).unwrap();
+            if !schedule.arena.is_cluster() {
+                continue;
+            }
+            let outcome =
+                run_generated(&schedule).unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+            assert_eq!(outcome.evidence.jobs, expected_jobs);
         }
     }
 }
